@@ -23,6 +23,12 @@
 //! one and to a direct [`JobSpec::result_json`] call — the property the
 //! e2e tests diff for.
 //!
+//! A request line may carry at most [`MAX_LINE_BYTES`] bytes before its
+//! `\n`. Past that the daemon stops reading, replies
+//! `{"ok":false,"error":...,"code":"line_too_long"}`, counts the request
+//! under `mgx_requests_total{op="oversized"}`, and closes the
+//! connection, so one client cannot grow daemon memory without bound.
+//!
 //! `stats` and `metrics` read the *same* [`mgx_obs`] atomics the store
 //! and scheduler update (one shared [`Registry`] per server), so the two
 //! surfaces can never disagree. `metrics` additionally exposes per-op
@@ -50,7 +56,7 @@ use crate::scheduler::{Scheduler, SchedulerConfig, Submitted};
 use crate::store::{ResultStore, StoreConfig};
 use mgx_obs::Registry;
 use mgx_sim::job::Suite;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -171,19 +177,36 @@ fn serve_on(listener: TcpListener, cfg: ServerConfig, stop: Arc<AtomicBool>) -> 
     Ok(())
 }
 
-/// Reads one `\n`-terminated line from a stream with a read timeout,
-/// preserving partial bytes across timeouts and re-checking `stop`.
-/// `Ok(None)` = clean EOF or shutdown.
+/// The longest request line the daemon reads, in bytes, not counting the
+/// terminating `\n`. Real requests are a few hundred bytes.
+pub const MAX_LINE_BYTES: usize = 64 << 10;
+
+/// What [`read_line_with_flag`] produced.
+enum Line {
+    /// One complete request line, terminator stripped.
+    Request(String),
+    /// [`MAX_LINE_BYTES`] were read without a terminator.
+    Oversized,
+    /// Clean EOF or shutdown.
+    End,
+}
+
+/// Reads one `\n`-terminated line of at most [`MAX_LINE_BYTES`] from a
+/// stream with a read timeout, preserving partial bytes across timeouts
+/// and re-checking `stop`.
 fn read_line_with_flag(
     reader: &mut BufReader<TcpStream>,
     buf: &mut Vec<u8>,
     stop: &AtomicBool,
-) -> io::Result<Option<String>> {
+) -> io::Result<Line> {
     buf.clear();
     loop {
-        match reader.read_until(b'\n', buf) {
+        // Never read past the cap plus its terminator, so a line without
+        // one stops growing `buf` here.
+        let budget = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
+        match reader.by_ref().take(budget).read_until(b'\n', buf) {
             Ok(0) => {
-                return Ok(None); // EOF
+                return Ok(Line::End); // EOF
             }
             Ok(_) if buf.last() == Some(&b'\n') => {
                 buf.pop();
@@ -191,14 +214,15 @@ fn read_line_with_flag(
                     buf.pop();
                 }
                 let line = String::from_utf8_lossy(buf).into_owned();
-                return Ok(Some(line));
+                return Ok(Line::Request(line));
             }
+            Ok(_) if buf.len() > MAX_LINE_BYTES => return Ok(Line::Oversized),
             // A read timeout mid-line leaves what was read in `buf`;
             // loop to keep appending unless we are shutting down.
             Ok(_) => {}
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
                 if stop.load(Ordering::SeqCst) {
-                    return Ok(None);
+                    return Ok(Line::End);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -220,7 +244,28 @@ fn handle_connection(
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
-    while let Some(line) = read_line_with_flag(&mut reader, &mut buf, stop)? {
+    loop {
+        let line = match read_line_with_flag(&mut reader, &mut buf, stop)? {
+            Line::Request(line) => line,
+            Line::End => return Ok(()),
+            Line::Oversized => {
+                registry
+                    .counter_with("mgx_requests_total", &[("op", "oversized")], "requests by op")
+                    .inc();
+                let reply = json::obj(vec![
+                    ("ok", Json::Bool(false)),
+                    (
+                        "error",
+                        json::str(format!(
+                            "request line exceeds {MAX_LINE_BYTES} bytes; closing connection"
+                        )),
+                    ),
+                    ("code", json::str("line_too_long")),
+                ]);
+                writeln!(writer, "{}", reply.render())?;
+                return writer.flush();
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -239,7 +284,6 @@ fn handle_connection(
         }
         writer.flush()?;
     }
-    Ok(())
 }
 
 fn error_reply(msg: &str) -> String {

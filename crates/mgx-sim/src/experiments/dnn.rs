@@ -1,7 +1,6 @@
 //! DNN experiments: Figs 3, 12, 13.
 
 use super::Evaluated;
-use crate::fastfwd::FastForwardStats;
 use crate::pipeline::{SimConfig, Simulation, TxnPath};
 use crate::report::Figure;
 use crate::scale::Scale;
@@ -25,7 +24,7 @@ fn evaluate(
     threads: usize,
     path: TxnPath,
     backend: DramBackend,
-) -> (Vec<Evaluated>, FastForwardStats) {
+) -> Vec<Evaluated> {
     // Each (model, setup) sweep is independent: fan them across the pool.
     // Within a worker the five schemes stream down a single pass, so the
     // pool parallelism multiplies, not divides, the sweep concurrency.
@@ -35,31 +34,21 @@ fn evaluate(
             setups().into_iter().map(move |(name, acfg, scfg)| (m.clone(), name, acfg, scfg))
         })
         .collect();
-    let pairs = crate::parallel::map(threads, jobs, |(model, name, acfg, scfg)| {
+    crate::parallel::map(threads, jobs, |(model, name, acfg, scfg)| {
         // Phases stream straight from the lowering into the five
         // engines — the trace is never materialized.
         let scfg = SimConfig { txn_path: path, dram_backend: backend, ..scfg };
-        let sweep = if training {
+        let results = if training {
             Simulation::over(stream_training_trace(&model, &acfg, Dataflow::WeightStationary))
                 .config(scfg)
-                .run_all_with_stats()
+                .run_all()
         } else {
             Simulation::over(stream_inference_trace(&model, &acfg, Dataflow::WeightStationary))
                 .config(scfg)
-                .run_all_with_stats()
+                .run_all()
         };
-        let (results, stats) = super::split_sweep(sweep);
-        (Evaluated::new(model.name, name, results), stats)
-    });
-    let mut total = FastForwardStats::default();
-    let evals = pairs
-        .into_iter()
-        .map(|(e, s)| {
-            total += s;
-            e
-        })
-        .collect();
-    (evals, total)
+        Evaluated::new(model.name, name, results)
+    })
 }
 
 /// Simulates the inference suite (VGG, AlexNet, GoogLeNet, ResNet, BERT,
@@ -71,18 +60,17 @@ pub fn evaluate_inference(scale: &Scale) -> Vec<Evaluated> {
 /// [`evaluate_inference`] with the workloads fanned across `threads` pool
 /// workers (`0` = all cores). Output is identical to the sequential run.
 pub fn evaluate_inference_on(scale: &Scale, threads: usize) -> Vec<Evaluated> {
-    evaluate_inference_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm).0
+    evaluate_inference_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm)
 }
 
-/// [`evaluate_inference_on`] on an explicit [`TxnPath`], returning the
-/// suite's aggregate fast-forward counters next to the (path-independent)
-/// results. Burst and per-line runs report all-zero counters.
+/// [`evaluate_inference_on`] on an explicit [`TxnPath`] and DRAM backend.
+/// The path never changes a result bit; the backend does.
 pub fn evaluate_inference_path(
     scale: &Scale,
     threads: usize,
     path: TxnPath,
     backend: DramBackend,
-) -> (Vec<Evaluated>, FastForwardStats) {
+) -> Vec<Evaluated> {
     let mut models = vec![
         Model::vgg16(scale.dnn_batch),
         Model::alexnet(scale.dnn_batch),
@@ -104,17 +92,17 @@ pub fn evaluate_training(scale: &Scale) -> Vec<Evaluated> {
 /// [`evaluate_training`] with the workloads fanned across `threads` pool
 /// workers (`0` = all cores). Output is identical to the sequential run.
 pub fn evaluate_training_on(scale: &Scale, threads: usize) -> Vec<Evaluated> {
-    evaluate_training_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm).0
+    evaluate_training_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm)
 }
 
-/// [`evaluate_training_on`] on an explicit [`TxnPath`] with aggregate
-/// fast-forward counters (see [`evaluate_inference_path`]).
+/// [`evaluate_training_on`] on an explicit [`TxnPath`] and DRAM backend
+/// (see [`evaluate_inference_path`]).
 pub fn evaluate_training_path(
     scale: &Scale,
     threads: usize,
     path: TxnPath,
     backend: DramBackend,
-) -> (Vec<Evaluated>, FastForwardStats) {
+) -> Vec<Evaluated> {
     let models = vec![
         Model::vgg16(scale.dnn_batch),
         Model::alexnet(scale.dnn_batch),

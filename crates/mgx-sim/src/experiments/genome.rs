@@ -1,7 +1,6 @@
 //! Genome-alignment experiments: Fig 16.
 
 use super::Evaluated;
-use crate::fastfwd::FastForwardStats;
 use crate::pipeline::{PhaseMode, SimConfig, Simulation, TxnPath};
 use crate::report::Figure;
 use crate::scale::Scale;
@@ -26,21 +25,20 @@ pub fn evaluate(scale: &Scale) -> Vec<Evaluated> {
 /// [`evaluate`] with the workloads fanned across `threads` pool workers
 /// (`0` = all cores). Output is identical to the sequential run.
 pub fn evaluate_on(scale: &Scale, threads: usize) -> Vec<Evaluated> {
-    evaluate_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm).0
+    evaluate_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm)
 }
 
-/// [`evaluate_on`] on an explicit [`TxnPath`], returning the suite's
-/// aggregate fast-forward counters next to the (path-independent) results.
-/// Burst and per-line runs report all-zero counters.
+/// [`evaluate_on`] on an explicit [`TxnPath`] and DRAM backend. The path
+/// never changes a result bit; the backend does.
 pub fn evaluate_path(
     scale: &Scale,
     threads: usize,
     path: TxnPath,
     backend: DramBackend,
-) -> (Vec<Evaluated>, FastForwardStats) {
+) -> Vec<Evaluated> {
     let accel = GactAccelConfig::default();
     let scfg = SimConfig { txn_path: path, dram_backend: backend, ..setup(&accel) };
-    let pairs = crate::parallel::map(threads, GenomeWorkload::suite(), |w| {
+    crate::parallel::map(threads, GenomeWorkload::suite(), |w| {
         let src = stream_gact_trace(
             &w,
             &accel,
@@ -49,19 +47,9 @@ pub fn evaluate_path(
             scale.genome_divisor,
             0xD4A,
         );
-        let (results, stats) =
-            super::split_sweep(Simulation::over(src).config(scfg.clone()).run_all_with_stats());
-        (Evaluated::new(w.label(), String::new(), results), stats)
-    });
-    let mut total = FastForwardStats::default();
-    let evals = pairs
-        .into_iter()
-        .map(|(e, s)| {
-            total += s;
-            e
-        })
-        .collect();
-    (evals, total)
+        let results = Simulation::over(src).config(scfg.clone()).run_all();
+        Evaluated::new(w.label(), String::new(), results)
+    })
 }
 
 /// Fig 16: normalized execution time of GACT under MGX_VN and BP.

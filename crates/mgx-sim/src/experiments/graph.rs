@@ -1,7 +1,6 @@
 //! Graph experiments: Fig 14 (and the graph half of Fig 3).
 
 use super::Evaluated;
-use crate::fastfwd::FastForwardStats;
 use crate::pipeline::{SimConfig, Simulation, TxnPath};
 use crate::report::Figure;
 use crate::scale::Scale;
@@ -27,18 +26,17 @@ pub fn evaluate(scale: &Scale) -> Vec<Evaluated> {
 /// BFS, so generation parallelizes too. Output order and bits are identical
 /// to the sequential run.
 pub fn evaluate_on(scale: &Scale, threads: usize) -> Vec<Evaluated> {
-    evaluate_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm).0
+    evaluate_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm)
 }
 
-/// [`evaluate_on`] on an explicit [`TxnPath`], returning the suite's
-/// aggregate fast-forward counters next to the (path-independent) results.
-/// Burst and per-line runs report all-zero counters.
+/// [`evaluate_on`] on an explicit [`TxnPath`] and DRAM backend. The path
+/// never changes a result bit; the backend does.
 pub fn evaluate_path(
     scale: &Scale,
     threads: usize,
     path: TxnPath,
     backend: DramBackend,
-) -> (Vec<Evaluated>, FastForwardStats) {
+) -> Vec<Evaluated> {
     let accel = GraphAccelConfig::default();
     let scfg = SimConfig { txn_path: path, dram_backend: backend, ..setup() };
     let per_dataset = crate::parallel::map(threads, Dataset::suite().to_vec(), |ds| {
@@ -54,28 +52,14 @@ pub fn evaluate_path(
         workloads
             .into_iter()
             .map(|w| {
-                let (results, stats) = super::split_sweep(
-                    Simulation::over(stream_graph_trace(&g, w, &accel))
-                        .config(scfg.clone())
-                        .run_all_with_stats(),
-                );
-                (
-                    Evaluated::new(format!("{}-{}", w.label(), ds.name), String::new(), results),
-                    stats,
-                )
+                let results = Simulation::over(stream_graph_trace(&g, w, &accel))
+                    .config(scfg.clone())
+                    .run_all();
+                Evaluated::new(format!("{}-{}", w.label(), ds.name), String::new(), results)
             })
             .collect::<Vec<_>>()
     });
-    let mut total = FastForwardStats::default();
-    let evals = per_dataset
-        .into_iter()
-        .flatten()
-        .map(|(e, s)| {
-            total += s;
-            e
-        })
-        .collect();
-    (evals, total)
+    per_dataset.into_iter().flatten().collect()
 }
 
 /// Fig 14a: memory-traffic increase of PR/BFS under MGX and BP.

@@ -5,7 +5,6 @@
 //! same overhead comparison for completeness.
 
 use super::Evaluated;
-use crate::fastfwd::FastForwardStats;
 use crate::pipeline::{SimConfig, Simulation, TxnPath};
 use crate::report::Figure;
 use crate::scale::Scale;
@@ -29,25 +28,22 @@ pub fn evaluate(scale: &Scale) -> Vec<Evaluated> {
 /// inside the sweep ([`Simulation::parallel`]) rather than from the
 /// workload pool. Output is identical to the sequential run.
 pub fn evaluate_on(scale: &Scale, threads: usize) -> Vec<Evaluated> {
-    evaluate_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm).0
+    evaluate_path(scale, threads, TxnPath::Burst, DramBackend::ClosedForm)
 }
 
-/// [`evaluate_on`] on an explicit [`TxnPath`], returning the decode's
-/// aggregate fast-forward counters next to the (path-independent) results.
-/// Burst and per-line runs report all-zero counters.
+/// [`evaluate_on`] on an explicit [`TxnPath`] and DRAM backend. The path
+/// never changes a result bit; the backend does.
 pub fn evaluate_path(
     scale: &Scale,
     threads: usize,
     path: TxnPath,
     backend: DramBackend,
-) -> (Vec<Evaluated>, FastForwardStats) {
+) -> Vec<Evaluated> {
     let gop = GopStructure::ibpb(scale.video_frames);
     let src = stream_decode_trace(&gop, &DecoderConfig::default());
     let cfg = SimConfig { txn_path: path, dram_backend: backend, ..setup() };
-    let (results, stats) = super::split_sweep(
-        Simulation::over(src).config(cfg).parallel(threads).run_all_with_stats(),
-    );
-    (vec![Evaluated::new("H.264-IBPB", String::new(), results)], stats)
+    let results = Simulation::over(src).config(cfg).parallel(threads).run_all();
+    vec![Evaluated::new("H.264-IBPB", String::new(), results)]
 }
 
 /// The H.264 overhead table (our addition; the paper reports functional

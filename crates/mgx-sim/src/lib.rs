@@ -27,14 +27,12 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod fastfwd;
 pub mod job;
 pub mod parallel;
 pub mod pipeline;
 pub mod report;
 pub mod scale;
 
-pub use fastfwd::FastForwardStats;
 pub use mgx_dram::DramBackend;
 pub use pipeline::{PhaseMode, RunResult, SimConfig, Simulation, TxnPath};
 pub use report::{render, render_json, Figure, Row};

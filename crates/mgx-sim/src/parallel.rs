@@ -26,7 +26,6 @@
 //!
 //! Everything is built on `std::thread::scope` — no dependencies.
 
-use crate::fastfwd::FastForwardStats;
 use crate::pipeline::{RunResult, SchemeRun, SimConfig};
 use mgx_core::Scheme;
 use mgx_trace::{Phase, RegionMap};
@@ -56,14 +55,14 @@ pub(crate) fn run_all_broadcast(
     phases: impl Iterator<Item = Phase>,
     cfg: &SimConfig,
     threads: usize,
-) -> Vec<(RunResult, FastForwardStats)> {
+) -> Vec<RunResult> {
     let workers = threads.clamp(1, Scheme::ALL.len());
     // Round-robin the schemes over the workers: worker `w` owns schemes
     // `ALL[w], ALL[w + workers], …` and steps them in that fixed order.
     let groups: Vec<Vec<Scheme>> = (0..workers)
         .map(|w| Scheme::ALL.iter().copied().skip(w).step_by(workers).collect())
         .collect();
-    let mut results: Vec<Option<(RunResult, FastForwardStats)>> = vec![None; Scheme::ALL.len()];
+    let mut results: Vec<Option<RunResult>> = vec![None; Scheme::ALL.len()];
     std::thread::scope(|s| {
         let mut txs: Vec<SyncSender<Arc<Phase>>> = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
@@ -78,12 +77,7 @@ pub(crate) fn run_all_broadcast(
                         run.step(&phase, cfg);
                     }
                 }
-                runs.into_iter()
-                    .map(|run| {
-                        let stats = run.ff_stats();
-                        (run.finish(cfg), stats)
-                    })
-                    .collect::<Vec<_>>()
+                runs.into_iter().map(|run| run.finish(cfg)).collect::<Vec<_>>()
             }));
         }
         'produce: for phase in phases {
@@ -102,10 +96,10 @@ pub(crate) fn run_all_broadcast(
                 Ok(finished) => finished,
                 Err(panic) => std::panic::resume_unwind(panic),
             };
-            for pair in finished {
+            for result in finished {
                 let slot =
-                    Scheme::ALL.iter().position(|&sc| sc == pair.0.scheme).expect("known scheme");
-                results[slot] = Some(pair);
+                    Scheme::ALL.iter().position(|&sc| sc == result.scheme).expect("known scheme");
+                results[slot] = Some(result);
             }
         }
     });

@@ -11,10 +11,9 @@
 //! phase's reads have issued, mirroring a real controller's read-priority
 //! batching).
 
-use crate::fastfwd::{ClassDelta, FastForward, FastForwardStats};
 use mgx_core::{scheme_engine, LineBurst, MetaTraffic, ProtectionConfig, Scheme};
 use mgx_dram::{DramBackend, DramConfig, DramModel, DramStats};
-use mgx_trace::{Fnv64, Phase, RegionMap, TraceSource};
+use mgx_trace::{Phase, RegionMap, TraceSource};
 
 /// How a phase's compute and memory relate in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,13 +32,12 @@ pub enum PhaseMode {
 
 /// Which transaction currency the pipeline hands the DRAM model.
 ///
-/// All paths produce **bit-identical** results — `Burst` is the default
+/// Both paths produce **bit-identical** results — `Burst` is the default
 /// and the reason the simulator is fast; `PerLine` is the reference path
-/// kept alive so the equivalence stays checkable (the `hotpath` bench and
-/// the burst proptest in `tests/pipeline_shapes.rs` compare the two);
-/// `FastForward` memoizes repeated phases on top of `Burst` (see
-/// [`crate::fastfwd`]) and is proven equivalent down to the `exec_ns`
-/// float bits by `tests/fastforward_equivalence.rs`.
+/// kept alive so the equivalence stays checkable (the `hotpath` bench,
+/// the burst proptest in `tests/pipeline_shapes.rs` and
+/// `tests/path_equivalence.rs` compare the two down to the `exec_ns`
+/// float bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TxnPath {
     /// Engines emit contiguous [`LineBurst`]s, serviced by
@@ -56,12 +54,6 @@ pub enum TxnPath {
     /// One virtual callback plus one scalar `DramModel::access` per
     /// 64-byte line — the original hot loop, retained as the reference.
     PerLine,
-    /// Phase-signature memoization: repeated (phase, engine state, DRAM
-    /// state) equivalence classes replay their recorded timing/traffic
-    /// delta instead of re-simulating; anything unrecognized falls back to
-    /// the burst path. Per-run counters come back through
-    /// [`crate::FastForwardStats`].
-    FastForward,
 }
 
 /// Everything the simulator needs besides the workload.
@@ -171,9 +163,6 @@ pub(crate) struct SchemeRun {
     /// instead of a thousand, and the per-line path simply stages 1-line
     /// bursts (same drain order either way).
     write_buf: Vec<LineBurst>,
-    /// Phase-memoization state ([`TxnPath::FastForward`] only; empty and
-    /// untouched on the other paths).
-    ff: FastForward,
 }
 
 enum ModeState {
@@ -208,14 +197,7 @@ impl SchemeRun {
             mode,
             carry: 0,
             write_buf: Vec::new(),
-            ff: FastForward::default(),
         }
-    }
-
-    /// Fast-forward counters accumulated so far (all zero unless the run
-    /// uses [`TxnPath::FastForward`]).
-    pub(crate) fn ff_stats(&self) -> FastForwardStats {
-        self.ff.stats
     }
 
     /// Expands and issues one phase's transactions, returning the cycle
@@ -231,12 +213,10 @@ impl SchemeRun {
         match path {
             TxnPath::Burst => self.issue_burst(start, phase),
             TxnPath::PerLine => self.issue_per_line(start, phase),
-            TxnPath::FastForward => self.fast_forward_phase(start, phase),
         }
     }
 
-    /// The burst hot path — also the fallback executor every undecidable
-    /// fast-forward phase drops into.
+    /// The burst hot path.
     fn issue_burst(&mut self, start: u64, phase: &Phase) -> u64 {
         let mut done = start;
         let Self { engine, dram, write_buf, .. } = self;
@@ -277,87 +257,6 @@ impl SchemeRun {
             done = done.max(dram.access(start, b.addr, b.dir));
         }
         done.max(dram.drain())
-    }
-
-    /// The memoizing path: replay a recorded equivalence class when every
-    /// fingerprint component matches and the refresh-validity window holds;
-    /// otherwise fall back to [`SchemeRun::issue_burst`] (and possibly
-    /// record the phase for future replays). See [`crate::fastfwd`] for the
-    /// soundness argument.
-    fn fast_forward_phase(&mut self, start: u64, phase: &Phase) -> u64 {
-        // Fingerprint = phase structure ⊕ engine microstate ⊕ time-relative
-        // DRAM microstate. Either digest can decline (engine opted out, run
-        // too young for exact relative encoding, DRAM timing outside the
-        // supported envelope, or a backend with microstate the snapshot
-        // cannot encode — e.g. the queued one mid-window, before its
-        // drained-empty boundary) — that phase simply runs at burst speed:
-        // the fallback costs hit rate, never bits.
-        let key = match (self.engine.ff_digest(), self.dram.ff_digest(start)) {
-            (Some(engine_digest), Some(dram_digest)) => {
-                let mut h = Fnv64::new();
-                h.write_u64(phase.signature());
-                h.write_u64(engine_digest);
-                h.write_u64(dram_digest);
-                h.finish()
-            }
-            _ => {
-                self.ff.stats.fallbacks += 1;
-                return self.issue_burst(start, phase);
-            }
-        };
-
-        // Replay if recorded and no refresh lands inside the phase window.
-        // (Refresh phase is excluded from the digest on purpose: it is a
-        // validity condition, not an equivalence dimension.)
-        {
-            let Self { engine, dram, ff, .. } = self;
-            if let Some(class) = ff.class(key) {
-                if dram.refresh_slack(start) > class.horizon {
-                    engine.ff_replay(class.engine_pre.as_ref(), class.engine_post.as_ref());
-                    dram.ff_restore(&class.dram_post, start);
-                    dram.add_stats(class.dram_delta);
-                    let mem_rel = class.mem_rel;
-                    ff.stats.hits += 1;
-                    return start + mem_rel;
-                }
-                ff.stats.fallbacks += 1;
-                return self.issue_burst(start, phase);
-            }
-        }
-
-        self.ff.stats.misses += 1;
-        if !self.ff.admit(key) {
-            return self.issue_burst(start, phase);
-        }
-
-        // Second touch: simulate once more, capturing the delta.
-        let Some(engine_pre) = self.engine.ff_snapshot() else {
-            return self.issue_burst(start, phase);
-        };
-        let dram_before = self.dram.stats();
-        let done = self.issue_burst(start, phase);
-        let dram_delta = self.dram.stats() - dram_before;
-        // A refresh inside the recording would bake an absolute-time event
-        // into the "relative" delta — such phases are not recordable.
-        if dram_delta.refreshes == 0 {
-            if let (Some(engine_post), Some(dram_post)) =
-                (self.engine.ff_snapshot(), self.dram.ff_snapshot(start))
-            {
-                let horizon = dram_post.horizon();
-                self.ff.record(
-                    key,
-                    ClassDelta {
-                        engine_pre,
-                        engine_post,
-                        dram_post,
-                        dram_delta,
-                        horizon,
-                        mem_rel: done - start,
-                    },
-                );
-            }
-        }
-        done
     }
 
     /// Advances this scheme's clock(s) by one phase.
@@ -526,23 +425,12 @@ impl<S: TraceSource> Simulation<S> {
 
     /// Consumes the source under the selected scheme.
     pub fn run(self) -> RunResult {
-        self.run_with_stats().0
-    }
-
-    /// [`Simulation::run`] on the [`TxnPath::FastForward`] path, with the
-    /// memoization counters alongside the (bit-identical) result.
-    pub fn run_ff(self) -> (RunResult, FastForwardStats) {
-        self.txn_path(TxnPath::FastForward).run_with_stats()
-    }
-
-    fn run_with_stats(self) -> (RunResult, FastForwardStats) {
         let (regions, phases) = self.source.into_stream();
         let mut run = SchemeRun::new(self.scheme, &regions, &self.cfg);
         for phase in phases {
             run.step(&phase, &self.cfg);
         }
-        let stats = run.ff_stats();
-        (run.finish(&self.cfg), stats)
+        run.finish(&self.cfg)
     }
 
     /// Consumes the source once, driving all five schemes concurrently;
@@ -553,17 +441,6 @@ impl<S: TraceSource> Simulation<S> {
     /// stepped in turn on the calling thread. Both paths produce identical
     /// results.
     pub fn run_all(self) -> Vec<RunResult> {
-        self.run_all_with_stats().into_iter().map(|(r, _)| r).collect()
-    }
-
-    /// [`Simulation::run_all`] on the [`TxnPath::FastForward`] path, each
-    /// scheme's memoization counters riding with its (bit-identical)
-    /// result.
-    pub fn run_all_ff(self) -> Vec<(RunResult, FastForwardStats)> {
-        self.txn_path(TxnPath::FastForward).run_all_with_stats()
-    }
-
-    pub(crate) fn run_all_with_stats(self) -> Vec<(RunResult, FastForwardStats)> {
         let (regions, phases) = self.source.into_stream();
         let threads = crate::parallel::resolve_threads(self.threads);
         if threads > 1 {
@@ -576,12 +453,7 @@ impl<S: TraceSource> Simulation<S> {
                 run.step(&phase, &self.cfg);
             }
         }
-        runs.into_iter()
-            .map(|run| {
-                let stats = run.ff_stats();
-                (run.finish(&self.cfg), stats)
-            })
-            .collect()
+        runs.into_iter().map(|run| run.finish(&self.cfg)).collect()
     }
 }
 
@@ -772,61 +644,6 @@ mod tests {
             assert_eq!(b.traffic, l.traffic, "{:?} traffic diverged", b.scheme);
             assert_eq!(b.dram, l.dram, "{:?} DRAM stats diverged", b.scheme);
             assert_eq!(b.exec_ns.to_bits(), l.exec_ns.to_bits());
-        }
-    }
-
-    /// A ping-pong double buffer: two tiles alternating forever, the
-    /// canonical phase-repetition pattern fast-forward feeds on. The
-    /// footprint (4 × 16 KiB) is sized so even BP's metadata fits the
-    /// 32 KB cache — with a thrashing working set the cache microstate
-    /// never recurs and fast-forward (correctly) keeps falling back.
-    fn ping_pong_trace(iters: u64) -> Trace {
-        const TILE: u64 = 16 << 10;
-        let mut b = TraceBuilder::new();
-        let r = b.regions_mut().alloc("pingpong", 1 << 20, DataClass::Feature);
-        let base = b.regions().get(r).base;
-        for i in 0..iters {
-            b.begin_unnamed_phase(500);
-            let buf = base + (i % 2) * TILE;
-            b.push(MemRequest::read(r, buf, TILE));
-            b.push(MemRequest::write(r, buf + (2 * TILE), TILE));
-        }
-        b.finish()
-    }
-
-    #[test]
-    fn fast_forward_is_bit_identical_on_streaming_traces() {
-        // Monotonic addresses: states never repeat, everything misses —
-        // results must still be exactly the burst path's.
-        let trace = stream_trace(2, 25);
-        let burst = Simulation::over(&trace).config(cfg()).run_all();
-        let ff = Simulation::over(&trace).config(cfg()).run_all_ff();
-        for (b, (f, stats)) in burst.iter().zip(&ff) {
-            assert_eq!(b.scheme, f.scheme);
-            assert_eq!(b.dram_cycles, f.dram_cycles, "{:?} diverged", b.scheme);
-            assert_eq!(b.traffic, f.traffic);
-            assert_eq!(b.dram, f.dram);
-            assert_eq!(b.exec_ns.to_bits(), f.exec_ns.to_bits());
-            assert_eq!(stats.hits, 0, "{:?}: nothing repeats here", b.scheme);
-        }
-    }
-
-    #[test]
-    fn fast_forward_replays_repeating_phases_bit_identically() {
-        let trace = ping_pong_trace(512);
-        let burst = Simulation::over(&trace).config(cfg()).run_all();
-        let ff = Simulation::over(&trace).config(cfg()).run_all_ff();
-        for (b, (f, stats)) in burst.iter().zip(&ff) {
-            assert_eq!(b.dram_cycles, f.dram_cycles, "{:?} diverged", b.scheme);
-            assert_eq!(b.traffic, f.traffic, "{:?} traffic diverged", b.scheme);
-            assert_eq!(b.dram, f.dram, "{:?} DRAM stats diverged", b.scheme);
-            assert_eq!(b.exec_ns.to_bits(), f.exec_ns.to_bits());
-            assert!(
-                stats.hits > stats.phases() / 2,
-                "{:?}: ping-pong should mostly replay ({stats:?})",
-                b.scheme
-            );
-            assert!(stats.recorded > 0, "{:?}: classes must be recorded", b.scheme);
         }
     }
 

@@ -1,17 +1,11 @@
-//! A small, deterministic FNV-1a hasher shared by the fast-forward
-//! fingerprinting code across crates.
+//! A small, deterministic FNV-1a hasher.
 //!
-//! Fast-forward memoization (see `mgx-sim::fastfwd`) keys equivalence
-//! classes by structural digests of phases, engine microstate, and DRAM
-//! microstate. Those digests must be stable across runs and across thread
-//! counts — `std::collections::hash_map::DefaultHasher` makes no such
-//! guarantee — so every fingerprint is built from this fixed-parameter
-//! FNV-1a over an explicit byte encoding.
-//!
-//! A 64-bit digest can collide; the memoization layer treats collisions as
-//! a *correctness* hazard only if two states with equal digests behave
-//! differently, which the fingerprint-soundness tests in each crate guard
-//! against for the shipped configurations.
+//! Digests that must be stable across runs, builds and thread counts
+//! cannot use `std::collections::hash_map::DefaultHasher`, which makes no
+//! such guarantee. This fixed-parameter FNV-1a over an explicit byte
+//! encoding does; the benchmark harness uses it to fingerprint result
+//! sets. A 64-bit digest can collide, so use it to detect change, not to
+//! prove equality.
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -62,13 +56,11 @@ impl Fnv64 {
 
     /// Absorbs a `u64` in one mixing round.
     ///
-    /// The fingerprinting hot loops (DRAM microstate, BP cache contents)
-    /// absorb hundreds to thousands of words per simulated phase, and
-    /// byte-at-a-time FNV is a chain of eight dependent multiplies per
-    /// word. These digests are equality fingerprints, not spec-compliant
-    /// FNV streams, so a word is folded with a single xor-multiply-xor
-    /// round (splitmix64's finalizer core) instead: same determinism,
-    /// full-width diffusion, an ~8× shorter dependency chain.
+    /// Byte-at-a-time FNV is a chain of eight dependent multiplies per
+    /// word. A word is instead folded with a single xor-multiply-xor
+    /// round (splitmix64's finalizer core, see [`mix64`]): same
+    /// determinism and full-width diffusion, so the result is a stable
+    /// fingerprint rather than a spec-compliant FNV stream.
     #[inline]
     pub fn write_u64(&mut self, v: u64) {
         self.0 = mix64(self.0, v);
@@ -95,11 +87,7 @@ impl Fnv64 {
 }
 
 /// One word-mixing round as a pure function: the xor-multiply-xor core
-/// behind [`Fnv64::write_u64`]. Exposed so hot fingerprint loops can run
-/// *independent* mixing chains (e.g. one per DRAM bank) and feed the
-/// combined words into a single hasher — the serial dependency chain of an
-/// incremental hasher is the bottleneck when fingerprinting hundreds of
-/// words per simulated phase.
+/// behind [`Fnv64::write_u64`].
 #[inline]
 pub fn mix64(a: u64, b: u64) -> u64 {
     let mut x = (a ^ b).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -2,20 +2,19 @@
 //! path and assert the results are **bit-identical** — `dram_cycles`,
 //! `traffic`, `dram` by `==` and `exec_ns` down to its float bits.
 //!
-//! `TxnPath::Burst` is the reference (it is itself proven equivalent to
-//! `TxnPath::PerLine` by the burst proptest in `tests/pipeline_shapes.rs`);
-//! the harness sweeps the other paths, both phase modes, and thread counts
-//! {1, 4} against it, for all five schemes at once. Any test crate can
-//! `mod common;` and feed it a trace — the fast-forward equivalence and
-//! divergence suites both do.
+//! Single-threaded `TxnPath::Burst` is the reference; the harness sweeps
+//! `TxnPath::PerLine` and the burst path on more threads, in both phase
+//! modes, against it, for all five schemes at once. Any test crate can
+//! `mod common;` and feed it a trace — the path-equivalence and
+//! transformer suites both do.
 
 #![allow(dead_code)] // each test crate includes this module and uses a subset
 
-use mgx::sim::{FastForwardStats, PhaseMode, RunResult, SimConfig, Simulation, TxnPath};
+use mgx::sim::{DramBackend, PhaseMode, RunResult, SimConfig, Simulation, TxnPath};
 use mgx::trace::{DataClass, MemRequest, Trace, TraceBuilder};
 
-/// The uniform tile size the memoizable workloads use (small enough that
-/// BP's metadata stays resident in its cache, so engine state recurs).
+/// The uniform tile size of the synthetic blueprints (small enough that
+/// BP's metadata stays resident in its cache).
 pub const TILE: u64 = 16 << 10;
 
 /// Both phase modes the pipeline supports — every harness sweep covers
@@ -58,12 +57,17 @@ pub fn assert_results_identical(reference: &[RunResult], other: &[RunResult], ct
 
 /// The headline sweep: every `TxnPath` × phase mode × thread count must
 /// reproduce the single-threaded burst reference bit for bit, across all
-/// five schemes.
+/// five schemes, on the default closed-form DRAM backend.
 pub fn assert_all_paths_bit_identical(trace: &Trace, label: &str) {
+    assert_all_paths_bit_identical_on(trace, label, DramBackend::ClosedForm);
+}
+
+/// [`assert_all_paths_bit_identical`] on an explicit DRAM backend.
+pub fn assert_all_paths_bit_identical_on(trace: &Trace, label: &str, backend: DramBackend) {
     for mode in all_modes() {
-        let cfg = config_for(mode);
+        let cfg = SimConfig { dram_backend: backend, ..config_for(mode) };
         let reference = run_all(trace, &cfg, TxnPath::Burst, 1);
-        for path in [TxnPath::Burst, TxnPath::PerLine, TxnPath::FastForward] {
+        for path in [TxnPath::Burst, TxnPath::PerLine] {
             for threads in [1usize, 4] {
                 if path == TxnPath::Burst && threads == 1 {
                     continue; // that's the reference itself
@@ -76,41 +80,12 @@ pub fn assert_all_paths_bit_identical(trace: &Trace, label: &str) {
     }
 }
 
-/// Fast-forward-only differential: runs every scheme under `FastForward`,
-/// asserts bit-identity against the burst reference, and returns the summed
-/// memoizer counters so callers can additionally assert *how* the result
-/// was produced (hits vs fallbacks) — the divergence suite's bread and
-/// butter.
-pub fn assert_ff_identical_with_stats(
-    trace: &Trace,
-    cfg: &SimConfig,
-    ctx: &str,
-) -> FastForwardStats {
-    let reference = run_all(trace, cfg, TxnPath::Burst, 1);
-    let mut total = FastForwardStats::default();
-    for r in &reference {
-        let (got, stats) = Simulation::over(trace)
-            .config(cfg.clone())
-            .txn_path(TxnPath::FastForward)
-            .scheme(r.scheme)
-            .run_ff();
-        assert_results_identical(
-            std::slice::from_ref(r),
-            std::slice::from_ref(&got),
-            &format!("{ctx}/{}", r.scheme),
-        );
-        total += stats;
-    }
-    total
-}
-
 // ---------------------------------------------------------------------------
 // Workload blueprints
 // ---------------------------------------------------------------------------
 
 /// Double-buffered uniform tiles: read ping/pong input, write a fixed
-/// output tile. The classic memoizable shape — after one warm lap every
-/// phase recurs.
+/// output tile — after one warm lap every phase recurs.
 pub fn ping_pong_trace(phases: u64) -> Trace {
     let mut b = TraceBuilder::new();
     let r = b.regions_mut().alloc("buf", 4 * TILE, DataClass::Feature);
@@ -124,8 +99,8 @@ pub fn ping_pong_trace(phases: u64) -> Trace {
 }
 
 /// A decoder-style ring of four frame slots: each phase reads half-tile
-/// reference blocks from the two previous frames and writes the next frame.
-/// Period-four recurrence → a handful of classes.
+/// reference blocks from the two previous frames and writes the next frame
+/// (period-four recurrence).
 pub fn frame_ring_trace(phases: u64) -> Trace {
     let mut b = TraceBuilder::new();
     let r = b.regions_mut().alloc("frames", 4 * TILE, DataClass::Feature);
@@ -141,7 +116,7 @@ pub fn frame_ring_trace(phases: u64) -> Trace {
 }
 
 /// A monotonic stream: every phase touches fresh addresses, so nothing
-/// ever recurs — the memoizer must degrade gracefully to pure burst.
+/// ever recurs.
 pub fn stream_trace(phases: u64) -> Trace {
     let mut b = TraceBuilder::new();
     let r = b.regions_mut().alloc("stream", phases * TILE, DataClass::Feature);
@@ -159,10 +134,7 @@ pub fn stream_trace(phases: u64) -> Trace {
 
 /// Interleaves a recurring ping-pong phase with non-uniform odd phases —
 /// four distinct shapes (odd sizes, different offsets, differing compute)
-/// cycling between the recurring passes. Recognizably different
-/// fingerprints alternate within one run, yet the whole sequence has a
-/// short period, so the memoizer must keep the classes apart *and* still
-/// replay each of them.
+/// cycling between the recurring passes.
 pub fn interleaved_trace(phases: u64) -> Trace {
     let mut b = TraceBuilder::new();
     let r = b.regions_mut().alloc("mix", 64 * TILE, DataClass::Feature);
@@ -188,8 +160,8 @@ pub fn interleaved_trace(phases: u64) -> Trace {
 }
 
 /// Ping-pong phases separated by huge compute gaps, shifting each phase's
-/// start relative to the refresh schedule — the refresh-validity window
-/// must reject replays whose slack is too small and fall back.
+/// start relative to the refresh schedule, so refreshes land inside
+/// phases at varying offsets.
 pub fn refresh_gap_trace(phases: u64, gap_cycles: u64) -> Trace {
     let mut b = TraceBuilder::new();
     let r = b.regions_mut().alloc("gap", 4 * TILE, DataClass::Feature);

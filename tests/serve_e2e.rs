@@ -189,6 +189,39 @@ fn metrics_op_agrees_with_the_request_sequence_and_stats() {
     server.join().unwrap();
 }
 
+#[test]
+fn over_cap_request_line_is_rejected_and_the_daemon_keeps_serving() {
+    use mgx::serve::server::MAX_LINE_BYTES;
+    use std::io::{BufRead, BufReader, Write};
+    let server = boot(1, 4);
+    // One byte past the cap and no newline: the daemon must stop reading,
+    // answer with the typed error, and close this connection.
+    let mut raw = std::net::TcpStream::connect(server.addr).expect("connect");
+    // Fail, rather than hang, if the daemon keeps waiting for a newline.
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    raw.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).expect("send over-cap line");
+    let mut reader = BufReader::new(raw);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("typed error reply");
+    let v = Json::parse(reply.trim_end()).expect("reply is JSON");
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{reply}");
+    assert_eq!(v.get("code").and_then(Json::as_str), Some("line_too_long"), "{reply}");
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).expect("clean close"), 0, "connection must close");
+    // The next client is served as usual, and the rejection was counted.
+    let mut c = Client::connect(&server.addr).expect("connect after rejection");
+    assert_eq!(executed(&mut c), 0);
+    let m = c.metrics().unwrap();
+    let oversized = m
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("mgx_requests_total{op=\"oversized\"}"))
+        .and_then(Json::as_u64);
+    assert_eq!(oversized, Some(1));
+    c.shutdown().unwrap();
+    server.join().unwrap();
+}
+
 /// Tiny-but-varied spec space. Debug-build simulation speed bounds the
 /// knobs: genome exercises the `Serial` phase mode, video the
 /// `Overlapped` one, and graph the pool fan-out over six datasets.
